@@ -256,13 +256,20 @@ func TestControllerNilKnobsSkipped(t *testing.T) {
 func TestControllerStartStop(t *testing.T) {
 	feed := &fakeFeed{}
 	rec := &flipRecorder{}
-	c := newTestController(feed, rec, nil)
-	feed.push(10_000, 0)
+	// Every window the controller goroutine samples carries a read-only
+	// burst, so the phase it reaches after three ticks does not depend
+	// on how its ticker interleaves with this goroutine's timer.
+	c := NewController(Config{
+		Snapshot: func() telemetry.Snapshot {
+			feed.push(10_000, 0)
+			return feed.snapshot()
+		},
+		Knobs: rec.knobs(),
+	})
 	c.Start(time.Millisecond)
 	defer c.Stop()
 	deadline := time.After(2 * time.Second)
 	for c.Probe().Ticks < 3 {
-		feed.push(10_000, 0)
 		select {
 		case <-deadline:
 			t.Fatal("controller goroutine did not tick")

@@ -204,6 +204,12 @@ func TestCacheConcurrentCoherence(t *testing.T) {
 	// the high bits so a cross-key tear is detectable.
 	var index [keys]atomic.Uint64
 	enc := func(k, ver uint64) uint64 { return k<<32 | ver }
+	// Seed every key's current offset before any goroutine starts: a
+	// zero-valued slot would let the promoter publish offset 0 (key 0's
+	// encoding) for a key the writer has not reached yet.
+	for k := range index {
+		index[k].Store(enc(uint64(k), 0))
+	}
 
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})

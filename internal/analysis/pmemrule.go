@@ -19,7 +19,7 @@ const pmemPkgPath = "learnedpieces/internal/pmem"
 // derived from it).
 //
 // The analyzer tracks, per function, the local variables that alias a
-// ReadNoCopy result (including re-slicings) and reports
+// ReadNoCopy (or ReadNoCopyTail) result (including re-slicings) and reports
 //
 //   - writes through an alias: v[i] = x, copy(v, ...)
 //   - retention of an alias in a struct field or package-level variable
@@ -142,7 +142,8 @@ func checkPMemFunc(pass *Pass, body *ast.BlockStmt) {
 	})
 }
 
-// isReadNoCopy reports whether call is (*pmem.Region).ReadNoCopy.
+// isReadNoCopy reports whether call is one of the zero-copy view
+// accessors, (*pmem.Region).ReadNoCopy or ReadNoCopyTail.
 func isReadNoCopy(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -153,7 +154,8 @@ func isReadNoCopy(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	fn, ok := s.Obj().(*types.Func)
-	return ok && fn.Name() == "ReadNoCopy" && fn.Pkg() != nil && fn.Pkg().Path() == pmemPkgPath
+	return ok && (fn.Name() == "ReadNoCopy" || fn.Name() == "ReadNoCopyTail") &&
+		fn.Pkg() != nil && fn.Pkg().Path() == pmemPkgPath
 }
 
 // isFieldSelector reports whether sel selects a struct field (as opposed

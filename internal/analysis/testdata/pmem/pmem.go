@@ -17,6 +17,8 @@ func Mutate(r *pmem.Region) {
 	v[0] = 1 // want "write through PMem-backed bytes"
 	w := v[4:8]
 	copy(w, []byte{1, 2}) // want "copy into PMem-backed bytes"
+	t := r.ReadNoCopyTail(0, 16, 64)
+	t[40] = 1 // want "write through PMem-backed bytes"
 }
 
 // Retain parks views beyond the call.

@@ -42,15 +42,20 @@ const blockSize = 256
 // block are free, as on real Optane).
 //
 // Concurrency: Alloc, Free, FreeChunks, Snapshot and Restore are fully
-// synchronized. Read, ReadNoCopy, Write and Flush are safe to call
-// concurrently as long as no Write overlaps a concurrent Read/ReadNoCopy
-// of the same byte range — the discipline the Viper store upholds (every
-// record slot is claimed by exactly one appender and only read after its
-// index entry is published), and what lets its recovery, compaction and
-// bulk-load paths fan out across cores without a region lock. All access
-// counters and the block buffer are atomics, so the latency model stays
-// race-free under any interleaving. SetLatency must not run concurrently
-// with accesses.
+// synchronized. The accessors (Read, ReadNoCopy, ReadNoCopyTail, Write,
+// WriteParts, Flush) are safe to call concurrently as long as no byte a
+// reader actually loads overlaps a concurrent Write of it. A ReadNoCopy
+// view may extend past the record its caller parses — the store reads a
+// whole nominal-size record extent in one access, which can run over the
+// slot a concurrent appender is filling — because taking a view loads
+// nothing; only the bytes the caller then dereferences must not race a
+// Write. The Viper store upholds this (every record slot is claimed by
+// exactly one appender and only parsed after its index entry is
+// published), and it is what lets its recovery, compaction and bulk-load
+// paths fan out across cores without a region lock. All access counters
+// and the block buffer are atomics, so the latency model stays race-free
+// under any interleaving. SetLatency must not run concurrently with
+// accesses.
 type Region struct {
 	mu   sync.Mutex
 	data []byte
@@ -225,6 +230,23 @@ func (r *Region) ReadNoCopy(off int64, n int) []byte {
 	return r.data[off : off+int64(n)]
 }
 
+// ReadNoCopyTail widens a view the caller already holds: given that
+// ReadNoCopy(off, loaded) was paid for, it returns the view [off, off+n)
+// as one more read, charging only the lines past those the first access
+// covered, so no line is charged twice. It serves records longer than
+// the extent their first read guessed. The view must not be modified.
+//
+//pieces:hotpath
+func (r *Region) ReadNoCopyTail(off int64, loaded, n int) []byte {
+	r.reads.Add(1)
+	// The first line the earlier access did not touch.
+	from := (off + int64(loaded) + blockSize - 1) / blockSize * blockSize
+	if end := off + int64(n); end > from {
+		r.charge(from, int(end-from), r.lat.ReadNs, false)
+	}
+	return r.data[off : off+int64(n)]
+}
+
 // Write stores data at off, paying write latency.
 //
 //pieces:hotpath
@@ -232,6 +254,18 @@ func (r *Region) Write(off int64, data []byte) {
 	r.writes.Add(1)
 	r.charge(off, len(data), r.lat.WriteNs, true)
 	copy(r.data[off:], data)
+}
+
+// WriteParts stores head followed directly by tail at off as one device
+// write: it is counted once and charged once over the combined extent,
+// with no scratch buffer joining the parts.
+//
+//pieces:hotpath
+func (r *Region) WriteParts(off int64, head, tail []byte) {
+	r.writes.Add(1)
+	r.charge(off, len(head)+len(tail), r.lat.WriteNs, true)
+	n := copy(r.data[off:], head)
+	copy(r.data[off+int64(n):], tail)
 }
 
 // Flush records a persistence barrier (clwb/sfence equivalent).

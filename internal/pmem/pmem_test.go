@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -142,5 +143,69 @@ func TestConcurrentDisjointAccess(t *testing.T) {
 	reads, writes, flushes := r.Stats()
 	if reads == 0 || writes == 0 || flushes == 0 {
 		t.Fatalf("counters not advancing: %d %d %d", reads, writes, flushes)
+	}
+}
+
+// WriteParts lands both parts back to back as one write, charged once
+// over the combined extent.
+func TestWritePartsCombined(t *testing.T) {
+	r := NewRegion(4096, Optane())
+	head, tail := []byte("header:"), bytes.Repeat([]byte{'v'}, 300)
+	const off = 250 // straddles lines 0..2
+	before := r.AccessStats()
+	r.WriteParts(off, head, tail)
+	a := r.AccessStats()
+	if got := string(r.ReadNoCopy(off, len(head)+len(tail))); got != string(head)+string(tail) {
+		t.Fatalf("combined write read back %q", got)
+	}
+	if w := a.Writes - before.Writes; w != 1 {
+		t.Fatalf("WriteParts counted %d writes, want 1", w)
+	}
+	// [250, 557) touches lines 0, 1 and 2.
+	if l := a.LineWrites - before.LineWrites; l != 3 {
+		t.Fatalf("WriteParts charged %d lines, want 3", l)
+	}
+	if s := a.WriteStallNs - before.WriteStallNs; s != 3*Optane().WriteNs {
+		t.Fatalf("WriteParts stalled %d ns, want one charge of 3 lines", s)
+	}
+	// An empty tail writes just the head.
+	r.WriteParts(1000, head, nil)
+	if got := string(r.ReadNoCopy(1000, len(head))); got != string(head) {
+		t.Fatalf("head-only write read back %q", got)
+	}
+}
+
+// ReadNoCopyTail widens an earlier view as one more read and charges
+// only the lines the earlier access did not already cover.
+func TestReadNoCopyTailChargesOnce(t *testing.T) {
+	r := NewRegion(4096, Optane())
+	want := make([]byte, 700)
+	for i := range want {
+		want[i] = byte(i)
+	}
+	const off = 100
+	r.Write(off, want)
+	cases := []struct {
+		loaded, n int
+		lines     int64 // lines charged by the tail alone
+	}{
+		{213, 700, 2}, // first view ends in line 1; tail is lines 2..3
+		{156, 700, 3}, // first view ends exactly at line 0's end; tail is lines 1..3
+		{213, 400, 0}, // the widened view still ends in line 1
+	}
+	for _, c := range cases {
+		r.ReadNoCopy(off, c.loaded)
+		before := r.AccessStats()
+		got := r.ReadNoCopyTail(off, c.loaded, c.n)
+		a := r.AccessStats()
+		if !bytes.Equal(got, want[:c.n]) {
+			t.Fatalf("loaded %d, n %d: widened view differs", c.loaded, c.n)
+		}
+		if rd := a.Reads - before.Reads; rd != 1 {
+			t.Fatalf("loaded %d, n %d: %d reads, want 1", c.loaded, c.n, rd)
+		}
+		if l := a.LineReads - before.LineReads; l != c.lines {
+			t.Fatalf("loaded %d, n %d: tail charged %d lines, want %d", c.loaded, c.n, l, c.lines)
+		}
 	}
 }

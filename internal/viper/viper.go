@@ -540,7 +540,8 @@ func (s *Store) claim(n int) (int64, error) {
 	}
 }
 
-// appendRecord writes one record and returns its offset.
+// appendRecord writes one record — header and value in a single device
+// write — and returns its offset.
 func (s *Store) appendRecord(key uint64, value []byte, flags byte) (int64, error) {
 	n := recordHeader + len(value)
 	off, err := s.claim(n)
@@ -551,12 +552,51 @@ func (s *Store) appendRecord(key uint64, value []byte, flags byte) (int64, error
 	binary.LittleEndian.PutUint64(hdr[0:8], key)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(value)))
 	hdr[12] = flags
-	s.region.Write(off, hdr[:])
-	if len(value) > 0 {
-		s.region.Write(off+recordHeader, value)
-	}
+	s.region.WriteParts(off, hdr[:], value)
 	s.region.Flush(off, n)
 	return off, nil
+}
+
+// parseRecord decodes the record at the start of b. ok is false when b
+// ends before the record does; otherwise val is the value (aliasing b)
+// and live is false for a tombstone.
+//
+//pieces:hotpath
+func parseRecord(b []byte) (val []byte, live, ok bool) {
+	if len(b) < recordHeader {
+		return nil, false, false
+	}
+	if b[12]&flagDeleted != 0 {
+		return nil, false, true
+	}
+	end := recordHeader + uint64(binary.LittleEndian.Uint32(b[8:12]))
+	if end > uint64(len(b)) {
+		return nil, false, false
+	}
+	return b[recordHeader:end], true, true
+}
+
+// readRecord resolves the record at off in one device access: it reads
+// the nominal extent (header plus the configured value size, clamped at
+// the region end) and parses the header out of that view — the same
+// over-read readLiveSpans applies to a run. A value longer than the
+// nominal size costs a second access that charges only its tail beyond
+// the first extent. Tombstones return live == false. Caller holds an
+// epoch pin.
+//
+//pieces:hotpath
+func (s *Store) readRecord(off uint64) (val []byte, live bool) {
+	n := recordHeader + s.valueSize
+	if rest := s.region.Size() - int(off); n > rest {
+		n = rest
+	}
+	rec := s.region.ReadNoCopy(int64(off), n)
+	if val, live, ok := parseRecord(rec); ok {
+		return val, live
+	}
+	full := recordHeader + int(binary.LittleEndian.Uint32(rec[8:12]))
+	rec = s.region.ReadNoCopyTail(int64(off), n, full)
+	return rec[recordHeader:], true
 }
 
 // Put stores value under key (insert or update). Concurrent Puts are
@@ -636,10 +676,7 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 			// protects index-resolved ones — Compact bumps the cache
 			// generation before it retires pages, so a hit either
 			// pre-dates the retire (pin defers the free) or misses.
-			hdr := s.region.ReadNoCopy(int64(off), recordHeader)
-			if hdr[12]&flagDeleted == 0 {
-				vlen := binary.LittleEndian.Uint32(hdr[8:12])
-				val := s.region.ReadNoCopy(int64(off)+recordHeader, int(vlen))
+			if val, live := s.readRecord(off); live {
 				g.Exit()
 				sp.Done()
 				return val, true
@@ -658,18 +695,13 @@ func (s *Store) Get(key uint64) ([]byte, bool) {
 		sp.Done()
 		return nil, false
 	}
-	hdr := s.region.ReadNoCopy(int64(off), recordHeader)
-	vlen := binary.LittleEndian.Uint32(hdr[8:12])
-	if hdr[12]&flagDeleted != 0 {
-		g.Exit()
-		s.met.GetMiss()
-		sp.Done()
-		return nil, false
-	}
-	val := s.region.ReadNoCopy(int64(off)+recordHeader, int(vlen))
+	val, live := s.readRecord(off)
 	g.Exit()
+	if !live {
+		s.met.GetMiss()
+	}
 	sp.Done()
-	return val, true
+	return val, live
 }
 
 // MultiGet resolves the whole batch of keys against the volatile index
@@ -708,7 +740,7 @@ func (s *Store) MultiGet(keys []uint64) [][]byte {
 		for i, k := range keys {
 			hk.Observe(k)
 			if off, hot := hk.Lookup(k); hot {
-				hits = append(hits, hit{i, int64(off)})
+				hits = append(hits, hit{i, off})
 				continue
 			}
 			subK = append(subK, k)
@@ -732,7 +764,7 @@ func (s *Store) MultiGet(keys []uint64) [][]byte {
 				if lane != nil {
 					pos = lane[i]
 				}
-				hits = append(hits, hit{pos, int64(offs[i])})
+				hits = append(hits, hit{pos, offs[i]})
 			}
 		}
 	} else {
@@ -742,7 +774,7 @@ func (s *Store) MultiGet(keys []uint64) [][]byte {
 				if lane != nil {
 					pos = lane[i]
 				}
-				hits = append(hits, hit{pos, int64(off)})
+				hits = append(hits, hit{pos, off})
 			}
 		}
 	}
@@ -776,19 +808,14 @@ func (s *Store) MultiGet(keys []uint64) [][]byte {
 	// the same offset is the same record snapshot — resolve it once and
 	// share the view. Under skewed (YCSB-Zipfian) request streams a
 	// coalesced batch is full of hot-key duplicates, so this skips their
-	// header+value reads (and the simulated NVM stalls) entirely —
+	// record reads (and the simulated NVM stalls) entirely —
 	// an aggregation win per-key Gets cannot express.
 	for i, h := range hits {
 		if i > 0 && h.off == hits[i-1].off {
 			out[h.pos] = out[hits[i-1].pos]
 			continue
 		}
-		hdr := s.region.ReadNoCopy(h.off, recordHeader)
-		if hdr[12]&flagDeleted != 0 {
-			continue
-		}
-		vlen := binary.LittleEndian.Uint32(hdr[8:12])
-		out[h.pos] = s.region.ReadNoCopy(h.off+recordHeader, int(vlen))
+		out[h.pos], _ = s.readRecord(h.off)
 	}
 	sc.hits = hits[:0]
 	mgPool.Put(sc)
@@ -799,7 +826,7 @@ func (s *Store) MultiGet(keys []uint64) [][]byte {
 // the PMem phase of MultiGet can visit records in offset order.
 type hit struct {
 	pos int
-	off int64
+	off uint64
 }
 
 // mgScratch holds MultiGet's per-call working state. Pooling it keeps
@@ -903,31 +930,17 @@ func (s *Store) scanLegacy(start uint64, n int, fn func(key uint64, value []byte
 	// The index scan runs unbounded: only the store can see which
 	// offsets are tombstones, and those must not eat the caller's limit.
 	v.seam.Scan.Scan(start, 0, func(k, off uint64) bool {
-		hdr := s.region.ReadNoCopy(int64(off), recordHeader)
-		vlen := binary.LittleEndian.Uint32(hdr[8:12])
-		if hdr[12]&flagDeleted != 0 {
+		val, live := s.readRecord(off)
+		if !live {
 			return true
 		}
-		if !fn(k, s.region.ReadNoCopy(int64(off)+recordHeader, int(vlen))) {
+		if !fn(k, val) {
 			return false
 		}
 		count++
 		return n <= 0 || count < n
 	})
 	return nil
-}
-
-// readLive resolves one record, nil for a tombstone. Caller holds an
-// epoch pin.
-//
-//pieces:hotpath
-func (s *Store) readLive(off uint64) []byte {
-	hdr := s.region.ReadNoCopy(int64(off), recordHeader)
-	if hdr[12]&flagDeleted != 0 {
-		return nil
-	}
-	vlen := binary.LittleEndian.Uint32(hdr[8:12])
-	return s.region.ReadNoCopy(int64(off)+recordHeader, int(vlen))
 }
 
 // scanScratch holds the batched scan's per-round working state; the
@@ -949,9 +962,9 @@ const maxScanBatch = 1 << 20
 // spanBridge is the largest hole (in bytes) between two consecutive
 // offset-sorted records that a coalesced span read will cover rather
 // than splitting the span. On a block-granular device a cold record
-// access pays ~2 fresh 256-byte blocks (header + value straddle), so
-// bridging up to two blocks of stale bytes is never dearer than
-// breaking the sequential walk.
+// read pays ~2 fresh 256-byte blocks (a record usually straddles a
+// block boundary), so bridging up to two blocks of stale bytes is never
+// dearer than breaking the sequential walk.
 const spanBridge = 512
 
 // sortByOffset fills ord with batch positions ordered by ascending
@@ -989,9 +1002,9 @@ func sortByOffset(offs []uint64, ord []int, pack []uint64) {
 // nil for tombstones — back to its batch position in vals. Consecutive
 // offsets within spanBridge of one record's extent coalesce into a
 // single span read, so an offset-ordered round over a dense log region
-// costs one near-sequential device walk instead of two ReadNoCopy
-// calls per record; stale records inside a span are never parsed, just
-// skipped by offset arithmetic. Caller holds an epoch pin.
+// costs one near-sequential device walk instead of one record read per
+// entry; stale records inside a span are never parsed, just skipped by
+// offset arithmetic. Caller holds an epoch pin.
 //
 //pieces:hotpath
 func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
@@ -1004,7 +1017,7 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 			runEnd++
 		}
 		if runEnd-j < 2 {
-			vals[ord[j]] = s.readLive(offs[ord[j]])
+			vals[ord[j]], _ = s.readRecord(offs[ord[j]])
 			j++
 			continue
 		}
@@ -1016,21 +1029,13 @@ func (s *Store) readLiveSpans(offs []uint64, ord []int, vals [][]byte) {
 		span := s.region.ReadNoCopy(int64(first), int(spanLen))
 		for ; j < runEnd; j++ {
 			i := ord[j]
-			rel := offs[i] - first
-			if hdrEnd := rel + recordHeader; hdrEnd <= uint64(len(span)) {
-				if span[rel+12]&flagDeleted != 0 {
-					vals[i] = nil
-					continue
-				}
-				vlen := uint64(binary.LittleEndian.Uint32(span[rel+8 : rel+12]))
-				if end := hdrEnd + vlen; end <= uint64(len(span)) {
-					vals[i] = span[hdrEnd:end]
-					continue
-				}
+			if val, _, ok := parseRecord(span[offs[i]-first:]); ok {
+				vals[i] = val
+				continue
 			}
 			// An oversized value or a span clamped at the region end:
 			// the straggler reads individually, over already-warm blocks.
-			vals[i] = s.readLive(offs[i])
+			vals[i], _ = s.readRecord(offs[i])
 		}
 	}
 }
@@ -1456,10 +1461,8 @@ func (s *Store) Compact(fresh index.Index) (int64, error) {
 	workers := s.workerCount(len(keys) / bulkMinPerWorker)
 	err := parallel.ForErr(workers, len(keys), func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			src := int64(srcs[i])
-			hdr := s.region.ReadNoCopy(src, recordHeader)
-			vlen := int(binary.LittleEndian.Uint32(hdr[8:12]))
-			val := s.region.ReadNoCopy(src+recordHeader, vlen)
+			// liveSorted dropped tombstones, so every source is live.
+			val, _ := s.readRecord(srcs[i])
 			off, err := s.appendRecord(keys[i], val, 0)
 			if err != nil {
 				return err
